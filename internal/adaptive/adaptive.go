@@ -144,14 +144,24 @@ type RequestPlan struct {
 	OverBudget  bool
 }
 
-// Initial cost coefficients (nanoseconds per unit of work), deliberately
-// rough: the EWMA replaces them within a handful of observed solves, and
-// starting pessimistic only means the first requests run a cheaper lane
-// than strictly necessary.
+// Initial cost coefficients (nanoseconds per unit of work). Each is a
+// figure measured on a 2-vCPU x86 machine and rounded up, so the first
+// plans lean toward cheaper lanes; the EWMA replaces them within a handful
+// of observed solves either way.
+//
+//   - Sampling: BenchmarkSamplingSolveChurn (64 samples on a ~13k-pair
+//     churn component) costs ≈45 ns per pair·sample.
+//   - Greedy: the parallel greedy costs 6.6–9.2 µs per pair on the
+//     300–400-pair islands components. Its per-pair cost grows with
+//     component size (≈20 µs at 3k pairs, ≈40 µs at 6k), so on much
+//     larger components the seed is optimistic until observations arrive.
+//   - Exhaustive: the cost follows the enumerated population rather than
+//     the pair count; 60 µs per pair is the 90th percentile over the
+//     workload scenarios' exhaustive-eligible components (median ≈7 µs).
 const (
-	initExhaustiveNSPerPair = 2000 // ns per pair (population-capped components)
-	initGreedyNSPerPair     = 1500 // ns per pair
-	initSamplingNSPerUnit   = 25   // ns per pair·sample
+	initExhaustiveNSPerPair = 60000 // ns per pair (population-capped components)
+	initGreedyNSPerPair     = 9500  // ns per pair
+	initSamplingNSPerUnit   = 50    // ns per pair·sample
 )
 
 // headroom adaptation: every observed over-budget solve tightens the

@@ -49,21 +49,21 @@ func TestPlanLaneSelection(t *testing.T) {
 
 // TestConvergenceUnderLatencyStep drives the controller with a simulated
 // latency regime change — greedy solves suddenly cost 20µs/pair instead of
-// the assumed 1.5µs — and checks the greedy size threshold converges to a
+// the assumed 9.5µs — and checks the greedy size threshold converges to a
 // value whose predicted latency fits the budget again.
 func TestConvergenceUnderLatencyStep(t *testing.T) {
 	const budget = 50 * time.Millisecond
 	c := New(Config{Budget: budget})
 	before := c.CurrentThresholds().GreedyMaxPairs
 
-	// A 5000-pair component is comfortably greedy under the initial
-	// coefficient (predicted 7.5ms).
+	// A 5000-pair component is greedy under the initial coefficient
+	// (predicted 47.5ms).
 	if d := c.Plan(5000, 1e6); d.Lane != LaneGreedy {
 		t.Fatalf("pre-step: 5000-pair component planned lane %v, want greedy", d.Lane)
 	}
 
 	// The step: every observed greedy solve of 1000 pairs now takes 20ms
-	// (20µs/pair — 13x the initial coefficient).
+	// (20µs/pair — about 2x the initial coefficient).
 	for i := 0; i < 40; i++ {
 		c.Observe(Decision{Lane: LaneGreedy}, 1000, 20*time.Millisecond)
 	}
@@ -113,7 +113,7 @@ func TestSampleCapAdaptsToCoefficient(t *testing.T) {
 	if d.Lane != LaneSampling {
 		t.Fatalf("planned lane %v, want sampling", d.Lane)
 	}
-	// 10s over 25ns/unit and 100 pairs allows millions of samples; the cap
+	// 10s over 50ns/unit and 100 pairs allows millions of samples; the cap
 	// must clamp at MaxSamples.
 	if d.SampleCap != 1<<16 {
 		t.Errorf("generous budget: sample cap %d, want the MaxSamples ceiling %d", d.SampleCap, 1<<16)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"rdbsc/internal/geo"
@@ -358,19 +359,24 @@ func affectedTasks(a1, a2 *model.Assignment, conflicting []model.WorkerID, group
 }
 
 // baseStates builds the objective states of the affected tasks from the
-// already-merged (non-group) assignments.
+// already-merged (non-group) assignments in one pass.
 func baseStates(p *Problem, merged *model.Assignment, affected map[model.TaskID]bool, bufs *scratch.Buffers) map[model.TaskID]*objective.TaskState {
-	states := make(map[model.TaskID]*objective.TaskState, len(affected))
+	var entries []objective.Entry
+	merged.Workers(func(wid model.WorkerID, tid model.TaskID) {
+		if !affected[tid] {
+			return
+		}
+		if w, t := p.Worker(wid), p.Task(tid); w != nil && t != nil {
+			entries = append(entries, objective.NewEntry(t, w, p.In.Opt))
+		}
+	})
+	slices.SortFunc(entries, objective.CompareEntries)
+	states := objective.StatesFromEntriesBuf(bufs, p.In.Beta, entries)
 	for t := range affected {
-		if task := p.Task(t); task != nil {
+		if task := p.Task(t); task != nil && states[t] == nil {
 			states[t] = objective.NewTaskState(*task, p.In.Beta)
 		}
 	}
-	merged.Workers(func(w model.WorkerID, t model.TaskID) {
-		if affected[t] {
-			addToState(p, states, w, t, bufs)
-		}
-	})
 	return states
 }
 

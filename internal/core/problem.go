@@ -88,28 +88,31 @@ func (p *Problem) ConnectedWorkers() []model.WorkerID {
 	return out
 }
 
-// Evaluate computes the objective values of an assignment on this problem.
+// Evaluate computes the objective values of an assignment on this problem,
+// resolving its pairs through the problem's own entity maps.
 func (p *Problem) Evaluate(a *model.Assignment) objective.Evaluation {
-	return objective.Evaluate(p.In, a)
-}
-
-// EvaluateBuf is Evaluate with pooled scratch (nil disables pooling); the
-// result is bit-identical.
-func (p *Problem) EvaluateBuf(bufs *scratch.Buffers, a *model.Assignment) objective.Evaluation {
-	return objective.EvaluateBuf(bufs, p.In, a)
+	bufs := scratch.Get()
+	defer scratch.Put(bufs)
+	var ev objective.Evaluator
+	return ev.EvaluateBuf(bufs, p.In.Beta, p.entries(a))
 }
 
 // NewStates returns a per-task objective state map initialized from an
-// existing (possibly partial) assignment restricted to this problem's valid
-// pairs. It delegates to objective.BuildStates, which applies workers in a
-// deterministic order: per-task diversity is a floating-point sum over the
+// existing (possibly partial) assignment. Workers are applied in (task,
+// worker) order: per-task diversity is a floating-point sum over the
 // insertion order, so the resulting states (and everything solved on top
 // of them) are reproducible.
 func (p *Problem) NewStates(a *model.Assignment) map[model.TaskID]*objective.TaskState {
 	if a == nil {
 		return make(map[model.TaskID]*objective.TaskState)
 	}
-	return objective.BuildStates(p.In, a)
+	return objective.StatesFromEntriesBuf(nil, p.In.Beta, p.entries(a))
+}
+
+// entries resolves a's pairs through the problem's entity maps, sorted for
+// the one-pass state build.
+func (p *Problem) entries(a *model.Assignment) []objective.Entry {
+	return objective.AssignmentEntries(a, p.In.Opt, p.tasks, p.workers)
 }
 
 // Stats carries per-solve diagnostics.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -103,20 +104,18 @@ func (s *Sampling) Solve(ctx context.Context, p *Problem, opts *SolveOptions) (*
 		seeds[h] = src.Int63()
 	}
 
+	space := newSampleSpace(p)
 	choices := make([][]int32, k)
 	evals := make([]objective.Evaluation, k)
-	drawOne := func(bufs *scratch.Buffers, h int) {
+	drawOne := func(bufs *scratch.Buffers, sc *sampleScratch, h int) {
 		hs := rng.New(seeds[h])
 		choice := make([]int32, len(workers))
-		a := model.NewAssignment()
 		for i, wid := range workers {
 			cand := p.WorkerPairs(wid)
-			pi := cand[hs.Intn(len(cand))]
-			choice[i] = pi
-			a.Assign(wid, p.Pairs[pi].Task)
+			choice[i] = cand[hs.Intn(len(cand))]
 		}
 		choices[h] = choice
-		evals[h] = p.EvaluateBuf(bufs, a)
+		evals[h] = space.evaluate(bufs, sc, choice)
 	}
 
 	// drawn counts the evaluated prefix: samples 0..drawn-1 are complete in
@@ -125,25 +124,32 @@ func (s *Sampling) Solve(ctx context.Context, p *Problem, opts *SolveOptions) (*
 	drawn := 0
 	var sAllocs, sReuses int
 	if s.Parallel && k > 1 {
-		var pAllocs, pReuses atomic.Int64
+		// A fixed pool of drawers claims sample indices in order. The
+		// context is checked before each claim, so every claimed index is
+		// drawn and the drawn set is the prefix 0..next-1.
+		var next, pAllocs, pReuses atomic.Int64
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for h := 0; h < k && ctx.Err() == nil; h++ {
+		for range min(runtime.GOMAXPROCS(0), k) {
 			wg.Add(1)
-			sem <- struct{}{}
-			go func(h int) {
+			go func() {
 				defer wg.Done()
 				bufs := scratch.Get()
-				drawOne(bufs, h)
+				var sc sampleScratch
+				for ctx.Err() == nil {
+					h := int(next.Add(1) - 1)
+					if h >= k {
+						break
+					}
+					drawOne(bufs, &sc, h)
+				}
 				a, r := bufs.Counters()
 				pAllocs.Add(int64(a))
 				pReuses.Add(int64(r))
 				scratch.Put(bufs)
-				<-sem
-			}(h)
-			drawn++
+			}()
 		}
 		wg.Wait()
+		drawn = min(int(next.Load()), k)
 		sAllocs, sReuses = int(pAllocs.Load()), int(pReuses.Load())
 		if drawn > 0 {
 			opts.emit(Stage{
@@ -155,8 +161,9 @@ func (s *Sampling) Solve(ctx context.Context, p *Problem, opts *SolveOptions) (*
 		}
 	} else {
 		bufs := scratch.Get()
+		var sc sampleScratch
 		for h := 0; h < k && ctx.Err() == nil; h++ {
-			drawOne(bufs, h)
+			drawOne(bufs, &sc, h)
 			drawn++
 			opts.emit(Stage{
 				Solver: s.Name(),
@@ -199,4 +206,67 @@ func (s *Sampling) Solve(ctx context.Context, p *Problem, opts *SolveOptions) (*
 		return res, interrupted(ctx)
 	}
 	return res, nil
+}
+
+// sampleSpace is the once-per-solve precomputation behind sample
+// evaluation. Every pair is resolved into its one-pass build entry up
+// front — arrival, approach angle and confidence from the same
+// model.Arrival/ApproachAngle calls objective.NewEntry makes for a whole
+// assignment — and stored in (task, worker) order, so a sample is
+// evaluated straight from its pair-index choice vector: look up each
+// chosen pair's rank, sort the ranks, and read the entries off in order.
+type sampleSpace struct {
+	beta    float64
+	entries []objective.Entry // every resolvable pair, by rank
+	rank    []int32           // pair index -> rank in entries, -1 if unresolvable
+}
+
+func newSampleSpace(p *Problem) *sampleSpace {
+	sp := &sampleSpace{beta: p.In.Beta, rank: make([]int32, len(p.Pairs))}
+	order := make([]int32, 0, len(p.Pairs))
+	all := make([]objective.Entry, len(p.Pairs))
+	for i, pr := range p.Pairs {
+		sp.rank[i] = -1
+		w, t := p.Worker(pr.Worker), p.Task(pr.Task)
+		if w == nil || t == nil || pr.Task == model.NoTask {
+			// Evaluation drops pairs naming an entity the instance lacks
+			// (and Assignment.Assign drops NoTask).
+			continue
+		}
+		all[i] = objective.NewEntry(t, w, p.In.Opt)
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return objective.CompareEntries(all[a], all[b]) })
+	sp.entries = make([]objective.Entry, len(order))
+	for r, i := range order {
+		sp.entries[r] = all[i]
+		sp.rank[i] = int32(r)
+	}
+	return sp
+}
+
+// sampleScratch is one drawer's reusable evaluation state.
+type sampleScratch struct {
+	ranks   []int32
+	entries []objective.Entry
+	ev      objective.Evaluator
+}
+
+// evaluate returns the Evaluation of the assignment choosing pair
+// choice[i] for the i-th connected worker. It equals Problem.Evaluate of
+// that assignment bit for bit, and allocates nothing once sc and bufs have
+// warmed up.
+func (sp *sampleSpace) evaluate(bufs *scratch.Buffers, sc *sampleScratch, choice []int32) objective.Evaluation {
+	sc.ranks = sc.ranks[:0]
+	for _, pi := range choice {
+		if r := sp.rank[pi]; r >= 0 {
+			sc.ranks = append(sc.ranks, r)
+		}
+	}
+	slices.Sort(sc.ranks)
+	sc.entries = sc.entries[:0]
+	for _, r := range sc.ranks {
+		sc.entries = append(sc.entries, sp.entries[r])
+	}
+	return sc.ev.EvaluateBuf(bufs, sp.beta, sc.entries)
 }

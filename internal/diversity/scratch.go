@@ -2,6 +2,7 @@ package diversity
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"rdbsc/internal/geo"
@@ -207,7 +208,7 @@ func newSortedByAngleBuf(bufs *scratch.Buffers, angles, probs []float64) sortedW
 	for i, a := range angles {
 		norm[i] = geo.NormalizeAngle(a)
 	}
-	sort.Slice(idx, func(x, y int) bool { return norm[idx[x]] < norm[idx[y]] })
+	slices.SortFunc(idx, func(x, y int) int { return lessCmp(norm[x], norm[y]) })
 	ws := sortedWorkers{a: bufs.F64(r), p: bufs.F64(r)}
 	for i, id := range idx {
 		ws.a[i] = norm[id]
@@ -235,7 +236,7 @@ func newBoundariesBuf(bufs *scratch.Buffers, arrivals, probs []float64, start, e
 	for i, a := range arrivals {
 		clamped[i] = math.Max(start, math.Min(end, a))
 	}
-	sort.Slice(idx, func(x, y int) bool { return clamped[idx[x]] < clamped[idx[y]] })
+	slices.SortFunc(idx, func(x, y int) int { return lessCmp(clamped[x], clamped[y]) })
 	bs := boundaries{t: bufs.F64Cap(r + 2), p: bufs.F64Cap(r + 2)}
 	bs.t = append(bs.t, start)
 	bs.p = append(bs.p, 1)
@@ -253,4 +254,20 @@ func newBoundariesBuf(bufs *scratch.Buffers, arrivals, probs []float64, start, e
 func (bs boundaries) release(bufs *scratch.Buffers) {
 	bufs.PutF64(bs.t)
 	bufs.PutF64(bs.p)
+}
+
+// lessCmp adapts the < ordering the unpooled helpers sort with to a
+// slices.SortFunc comparison: negative exactly when a < b, so NaNs compare
+// as they do under sort.Slice. slices.SortFunc runs the same pattern-
+// defeating quicksort as sort.Slice and consults the comparison only as
+// cmp < 0, so both produce the same permutation — ties included — while
+// SortFunc's non-escaping closure keeps the pooled path allocation-free.
+func lessCmp(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }

@@ -3,7 +3,7 @@ package objective
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rdbsc/internal/model"
 	"rdbsc/internal/scratch"
@@ -47,67 +47,39 @@ func Evaluate(in *model.Instance, a *model.Assignment) Evaluation {
 	return EvaluateBuf(nil, in, a)
 }
 
-// EvaluateBuf is Evaluate with the per-add diversity temporaries drawn
-// from bufs (nil disables pooling); the result is bit-identical.
+// EvaluateBuf is Evaluate with the diversity temporaries drawn from bufs
+// (nil disables pooling); the result is bit-identical.
 func EvaluateBuf(bufs *scratch.Buffers, in *model.Instance, a *model.Assignment) Evaluation {
-	states := BuildStatesBuf(bufs, in, a)
-	return EvaluateStates(states)
+	tasks, workers := entityMaps(in)
+	var ev Evaluator
+	return ev.EvaluateBuf(bufs, in.Beta, AssignmentEntries(a, in.Opt, tasks, workers))
 }
 
-// BuildStates constructs per-task incremental states from a full
-// assignment. Tasks with no workers get no state.
+// BuildStates constructs per-task states from a full assignment. Tasks with
+// no workers get no state; a task whose assigned workers all fail
+// model.Arrival gets an empty one.
 func BuildStates(in *model.Instance, a *model.Assignment) map[model.TaskID]*TaskState {
 	return BuildStatesBuf(nil, in, a)
 }
 
-// BuildStatesBuf is BuildStates with pooled scratch for the incremental
-// E[STD] refreshes; the resulting states are identical.
+// BuildStatesBuf is BuildStates with pooled scratch for the E[STD]
+// computations; the resulting states are identical.
 func BuildStatesBuf(bufs *scratch.Buffers, in *model.Instance, a *model.Assignment) map[model.TaskID]*TaskState {
-	workers := make(map[model.WorkerID]*model.Worker, len(in.Workers))
-	for i := range in.Workers {
-		workers[in.Workers[i].ID] = &in.Workers[i]
-	}
+	tasks, workers := entityMaps(in)
+	return StatesFromEntriesBuf(bufs, in.Beta, AssignmentEntries(a, in.Opt, tasks, workers))
+}
+
+// entityMaps indexes the instance's tasks and workers by ID.
+func entityMaps(in *model.Instance) (map[model.TaskID]*model.Task, map[model.WorkerID]*model.Worker) {
 	tasks := make(map[model.TaskID]*model.Task, len(in.Tasks))
 	for i := range in.Tasks {
 		tasks[in.Tasks[i].ID] = &in.Tasks[i]
 	}
-	// Collect and sort the assigned pairs first: map iteration order is
-	// random, and floating-point summation inside the diversity engine is
-	// order-sensitive at the ULP level. Sorting makes evaluation exactly
-	// reproducible for a given assignment.
-	type wt struct {
-		w model.WorkerID
-		t model.TaskID
+	workers := make(map[model.WorkerID]*model.Worker, len(in.Workers))
+	for i := range in.Workers {
+		workers[in.Workers[i].ID] = &in.Workers[i]
 	}
-	pairs := make([]wt, 0, a.Len())
-	a.Workers(func(wid model.WorkerID, tid model.TaskID) {
-		pairs = append(pairs, wt{wid, tid})
-	})
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].t != pairs[j].t {
-			return pairs[i].t < pairs[j].t
-		}
-		return pairs[i].w < pairs[j].w
-	})
-	states := make(map[model.TaskID]*TaskState)
-	for _, pr := range pairs {
-		w, t := workers[pr.w], tasks[pr.t]
-		if w == nil || t == nil {
-			continue
-		}
-		st := states[pr.t]
-		if st == nil {
-			st = NewTaskState(*t, in.Beta)
-			states[pr.t] = st
-		}
-		arrival, ok := model.Arrival(*t, *w, in.Opt)
-		if !ok {
-			// Invalid pairs contribute nothing; CheckAssignment reports them.
-			continue
-		}
-		st.AddBuf(bufs, pr.w, w.Confidence, arrival, model.ApproachAngle(*t, *w))
-	}
-	return states
+	return tasks, workers
 }
 
 // EvaluateStates aggregates per-task states into an Evaluation. Tasks are
@@ -117,29 +89,39 @@ func EvaluateStates(states map[model.TaskID]*TaskState) Evaluation {
 	for id := range states {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ev := Evaluation{MinRel: 0, MinR: 0}
-	first := true
+	slices.Sort(ids)
+	var f evalFold
 	for _, id := range ids {
-		st := states[id]
-		if st.Len() == 0 {
-			continue
-		}
-		ev.AssignedTasks++
-		ev.AssignedWorkers += st.Len()
-		ev.TotalESTD += st.ESTD()
-		if first || st.R() < ev.MinR {
-			ev.MinR = st.R()
-			first = false
-		}
+		f.add(states[id])
 	}
-	if first {
-		ev.MinR = 0
-		ev.MinRel = 0
-		return ev
+	return f.result()
+}
+
+// evalFold accumulates task states, visited in task ID order, into an
+// Evaluation. Tasks without workers are skipped.
+type evalFold struct {
+	ev   Evaluation
+	seen bool // some task had a worker; ev.MinR is meaningful
+}
+
+func (f *evalFold) add(st *TaskState) {
+	if st.Len() == 0 {
+		return
 	}
-	ev.MinRel = RelFromR(ev.MinR)
-	return ev
+	f.ev.AssignedTasks++
+	f.ev.AssignedWorkers += st.Len()
+	f.ev.TotalESTD += st.ESTD()
+	if !f.seen || st.R() < f.ev.MinR {
+		f.ev.MinR = st.R()
+		f.seen = true
+	}
+}
+
+func (f *evalFold) result() Evaluation {
+	if f.seen {
+		f.ev.MinRel = RelFromR(f.ev.MinR)
+	}
+	return f.ev
 }
 
 // MinRelOverAllTasks returns the literal minimum reliability over every

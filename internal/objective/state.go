@@ -11,10 +11,13 @@ import (
 // (Lemma 3.1) — as workers are assigned. It is the workhorse of the greedy
 // solver's inner loop and of whole-assignment evaluation.
 //
-// Adding a worker costs O(r²) for the exact E[STD] refresh (r = workers on
-// this task); DeltaBoundsIfAdd provides the O(r) lower/upper bounds of
-// Section 4.3 so that the greedy can prune candidates without paying the
-// exact cost (Lemma 4.3).
+// Each incremental Add costs O(r²) for the exact E[STD] refresh (r =
+// workers on this task), so Adding a task's workers one by one costs
+// O(r³) in all. Building states for a whole assignment does not go that
+// way: StatesFromEntriesBuf and Evaluator append a task's workers in one
+// pass and compute E[STD] once, O(r²) per task. DeltaBoundsIfAdd provides
+// the O(r) lower/upper bounds of Section 4.3 so that the greedy can prune
+// candidates without paying the exact cost (Lemma 4.3).
 type TaskState struct {
 	Task model.Task
 	Beta float64
